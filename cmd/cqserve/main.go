@@ -38,6 +38,13 @@ import (
 	cqbound "cqbound"
 )
 
+// Connection timeouts of the listening server.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	writeMargin       = 30 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 0, "partition count for sharded execution (0 = GOMAXPROCS)")
@@ -87,7 +94,16 @@ func main() {
 	srv := cqbound.NewServer(eng, srvOpts...)
 	defer srv.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{
+		Addr:    *addr,
+		Handler: srv,
+		// Slow or idle clients cannot hold connections open forever. The
+		// write deadline runs from the end of the request headers, so it
+		// covers the per-request deadline plus time to send a large answer.
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		WriteTimeout:      *timeout + writeMargin,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "cqserve: listening on %s\n", *addr)

@@ -38,6 +38,10 @@ const (
 	// converting a planner row bound to an admission reservation: one
 	// interned uint32 column cell plus index/dedup overhead.
 	estBytesPerValue = 8
+	// maxCommitBytes bounds a /commit request body; larger bodies get 413.
+	// It sits far above any bulk load the tools send (a few hundred KB),
+	// and keeps one request from buffering unbounded JSON in memory.
+	maxCommitBytes = 64 << 20
 )
 
 // Server is the cqserve HTTP front-end over one Engine. Endpoints:
@@ -255,22 +259,13 @@ func (s *Server) registerMetrics() {
 	reg.Gauge("serve_errors", s.errors.Load)
 }
 
-// cachedResult is one materialized query answer: everything a response
-// needs except the per-request trace.
+// cachedResult is one rendered query answer: the JSON of its attrs and
+// tuples arrays plus the row count — everything a /query body needs except
+// the per-request envelope fields — so a cache hit re-sends stored bytes.
 type cachedResult struct {
-	Attrs  []string
-	Tuples [][]string
-}
-
-// queryResponse is the /query JSON body.
-type queryResponse struct {
-	Query  string     `json:"query"`
-	Epoch  uint64     `json:"epoch"`
-	Rows   int        `json:"rows"`
-	Attrs  []string   `json:"attrs"`
-	Tuples [][]string `json:"tuples"`
-	Cached bool       `json:"cached"`
-	Trace  string     `json:"trace,omitempty"`
+	Attrs  []byte
+	Rows   int
+	Tuples []byte
 }
 
 // handleQuery is the request lifecycle of ARCHITECTURE §11: resolve and
@@ -316,7 +311,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	rs.SetEpoch(epoch)
 
-	// Cache hits skip admission: a materialized answer costs no evaluation
+	// Cache hits skip admission: a rendered answer costs no evaluation
 	// memory. Traced requests bypass the cache so their trace is real.
 	if s.cacheOn && !traced {
 		res, ok := s.cache.Get(qtext, epoch)
@@ -330,10 +325,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			rs.MarkCached()
 			rs.SetOutcome("cached")
-			s.reply(w, http.StatusOK, &queryResponse{
-				Query: qtext, Epoch: epoch, Rows: len(res.Tuples),
-				Attrs: res.Attrs, Tuples: res.Tuples, Cached: true,
-			})
+			s.replyQuery(w, qtext, epoch, res, true, "")
 			return
 		}
 	}
@@ -357,8 +349,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	charge := estBytes(bound, q)
-	rs.SetAdmission(bound, charge, charge > s.admit.Stats().Capacity)
-	rs.SetState("queued", s.admit.Stats().Waiting)
+	ast := s.admit.Stats()
+	rs.SetAdmission(bound, charge, charge > ast.Capacity)
+	rs.SetState("queued", ast.Waiting)
 	queuedAt := s.now()
 	ticket, err := s.admit.Admit(ctx, charge)
 	if o := s.obs; o != nil {
@@ -402,21 +395,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res := materialize(out, db.Dict())
-	s.recordCalibration(strategy, shapeOf(q), bound, estimate, len(res.Tuples))
+	res := renderResult(out, db.Dict())
+	s.recordCalibration(strategy, shapeOf(q), bound, estimate, res.Rows)
 	if s.cacheOn && !traced {
 		s.cache.Put(qtext, epoch, res)
 	}
 	rs.SetState("done", 0)
 	rs.SetOutcome("ok")
-	resp := &queryResponse{
-		Query: qtext, Epoch: epoch, Rows: len(res.Tuples),
-		Attrs: res.Attrs, Tuples: res.Tuples,
-	}
+	var trace string
 	if tr != nil {
-		resp.Trace = tr.Render()
+		trace = tr.Render()
 	}
-	s.reply(w, http.StatusOK, resp)
+	s.replyQuery(w, qtext, epoch, res, false, trace)
 }
 
 // estBytes converts a planner row bound to an admission reservation: one
@@ -434,17 +424,60 @@ func estBytes(rows float64, q *Query) int64 {
 	return int64(b)
 }
 
-// materialize renders a result relation into the strings a response and
-// the cache carry, resolving values through the evaluated snapshot's
-// dictionary (the output relation does not adopt one); the relation itself
-// is not retained.
-func materialize(out *Relation, d *Dict) *cachedResult {
-	res := &cachedResult{Attrs: append([]string(nil), out.Attrs...), Tuples: [][]string{}}
-	out.Each(func(t Tuple) bool {
-		res.Tuples = append(res.Tuples, t.StringsIn(d))
-		return true
-	})
-	return res
+// renderResult encodes a result relation as the JSON a /query body
+// carries, straight from its columns: each distinct value ID is resolved
+// through the evaluated snapshot's dictionary (the output relation does not
+// adopt one) and encoded once, and each cell copies its encoding into one
+// buffer. The relation itself is not retained.
+func renderResult(out *Relation, d *Dict) *cachedResult {
+	out.Pin()
+	defer out.Unpin()
+	cols := make([][]Value, out.Arity())
+	for c := range cols {
+		cols[c] = out.Column(c)
+	}
+	rows := out.Size()
+	memo := make(map[Value]string)
+	buf := make([]byte, 0, 2+rows*(3+8*len(cols)))
+	buf = append(buf, '[')
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '[')
+		for c, col := range cols {
+			if c > 0 {
+				buf = append(buf, ',')
+			}
+			enc, ok := memo[col[i]]
+			if !ok {
+				enc = string(appendJSONString(nil, d.String(col[i])))
+				memo[col[i]] = enc
+			}
+			buf = append(buf, enc...)
+		}
+		buf = append(buf, ']')
+	}
+	// An empty attribute list encodes as null, as it always has: the
+	// copy of no attributes is a nil slice.
+	attrs, _ := json.Marshal(append([]string(nil), out.Attrs...)) // strings always marshal
+	return &cachedResult{Attrs: attrs, Rows: rows, Tuples: append(buf, ']')}
+}
+
+// appendJSONString appends s encoded exactly as encoding/json encodes a
+// string. Printable ASCII outside "\<>& is copied verbatim between
+// quotes; anything else (escapes, HTML-escaped bytes, non-ASCII, invalid
+// UTF-8) goes through json.Marshal.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b > 0x7e || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			enc, _ := json.Marshal(s) // a string always marshals
+			return append(dst, enc...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // commitRequest is the /commit JSON body: a transaction as an ordered op
@@ -471,8 +504,17 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	if r.ContentLength > maxCommitBytes {
+		s.fail(w, r, http.StatusRequestEntityTooLarge, "commit body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxCommitBytes)
+		return
+	}
 	var req commitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCommitBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.fail(w, r, http.StatusRequestEntityTooLarge, "commit body exceeds the %d-byte limit", tooBig.Limit)
+			return
+		}
 		s.fail(w, r, http.StatusBadRequest, "decode: %v", err)
 		return
 	}
@@ -636,6 +678,38 @@ func (s *Server) sweepCache() {
 	}
 	s.snapMu.Unlock()
 	s.cache.Sweep(func(e uint64) bool { return e == live || pinned[e] })
+}
+
+// replyQuery writes a 200 /query body: the envelope fields in their fixed
+// order around the rendered attrs and tuples, byte for byte what
+// encoding/json would produce for the same fields, in one Write with its
+// Content-Length set.
+func (s *Server) replyQuery(w http.ResponseWriter, qtext string, epoch uint64, res *cachedResult, cached bool, trace string) {
+	b := make([]byte, 0, 96+len(qtext)+len(res.Attrs)+len(res.Tuples)+len(trace))
+	b = append(b, `{"query":`...)
+	b = appendJSONString(b, qtext)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, `,"rows":`...)
+	b = strconv.AppendInt(b, int64(res.Rows), 10)
+	b = append(b, `,"attrs":`...)
+	b = append(b, res.Attrs...)
+	b = append(b, `,"tuples":`...)
+	b = append(b, res.Tuples...)
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, cached)
+	if trace != "" {
+		b = append(b, `,"trace":`...)
+		b = appendJSONString(b, trace)
+	}
+	b = append(b, "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(b); err != nil {
+		s.errors.Add(1)
+	}
 }
 
 // reply writes v as a JSON response.
