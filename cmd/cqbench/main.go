@@ -10,7 +10,8 @@
 // against a checked-in JSON baseline and exits non-zero when any workload
 // regresses by more than the threshold (default 3x) — the CI guard against
 // pathological performance regressions, generous enough not to flake on
-// shared runners.
+// shared runners — or when the planned strategy of path3 or path-4-zipf
+// runs more than 1.25x the fastest forced strategy of the same run.
 //
 // With -shardbench it compares partition-parallel (internal/shard) against
 // single-shard execution of the same strategy on the scaled workloads —

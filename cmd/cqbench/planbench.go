@@ -41,6 +41,9 @@ type WorkloadResult struct {
 	Planned   string        `json:"planned_strategy"`
 	Rationale string        `json:"rationale"`
 	Runs      []StrategyRun `json:"runs"`
+	// PlannedOverBest is the planned run's ns/op over the fastest forced
+	// strategy's: above 1 the planner picked a slower strategy than it had.
+	PlannedOverBest float64 `json:"planned_over_best"`
 }
 
 // PlanBenchReport is the top-level JSON document.
@@ -142,8 +145,24 @@ func scaledWorkloads() []workload {
 			},
 			skipNaive: true,
 		},
+		{
+			// cqload's path3 over its dataset: not free-connex, so a
+			// Yannakakis join pass that keeps B past F's subtree builds
+			// ~190k rows under G for a 38k-row answer.
+			name:      "path3",
+			text:      "Q(A,D) <- E(A,B), F(B,C), G(C,D).",
+			db:        func() *database.Database { return graphDB([]string{"E", "F", "G"}, 2000, 200, 1) },
+			skipNaive: true,
+		},
 	}
 }
+
+// plannerGated are the workloads whose planned strategy -baseline holds to
+// within maxPlannedOverBest of the fastest forced strategy: the
+// non-free-connex paths the planner sends to Yannakakis.
+var plannerGated = map[string]bool{"path3": true, "path-4-zipf": true}
+
+const maxPlannedOverBest = 1.25
 
 // benchShardThreshold is the MinRows threshold the planned-sharded runs
 // use: the original small workloads stay below it (demonstrating the
@@ -196,7 +215,7 @@ func runPlanBench(asJSON bool, shards int) *PlanBenchReport {
 			}},
 		)
 
-		var naiveNs int64
+		var naiveNs, plannedNs, bestNs int64
 		for _, s := range strategies {
 			ns, outSize, st, err := timeStrategy(s.run)
 			if err != nil {
@@ -210,13 +229,22 @@ func runPlanBench(asJSON bool, shards int) *PlanBenchReport {
 				MaxIntermediate: st.MaxIntermediate,
 				Joins:           st.Joins,
 			}
-			if s.name == "naive" {
+			switch s.name {
+			case "naive":
 				naiveNs = ns
+			case "planned":
+				plannedNs = ns
+			}
+			if !strings.HasPrefix(s.name, "planned") && (bestNs == 0 || ns < bestNs) {
+				bestNs = ns
 			}
 			if naiveNs > 0 && ns > 0 {
 				run.SpeedupVsNaive = float64(naiveNs) / float64(ns)
 			}
 			res.Runs = append(res.Runs, run)
+		}
+		if bestNs > 0 {
+			res.PlannedOverBest = float64(plannedNs) / float64(bestNs)
 		}
 		report.Workloads = append(report.Workloads, res)
 	}
@@ -231,7 +259,7 @@ func runPlanBench(asJSON bool, shards int) *PlanBenchReport {
 		return &report
 	}
 	for _, w := range report.Workloads {
-		fmt.Printf("%s  (planned: %s)\n", w.Name, w.Planned)
+		fmt.Printf("%s  (planned: %s, %.2fx the best forced strategy)\n", w.Name, w.Planned, w.PlannedOverBest)
 		for _, r := range w.Runs {
 			fmt.Printf("  %-14s %10d ns/op  out=%-6d maxint=%-6d joins=%-4d speedup=%.2fx\n",
 				r.Strategy, r.NsPerOp, r.OutputTuples, r.MaxIntermediate, r.Joins, r.SpeedupVsNaive)
@@ -243,7 +271,9 @@ func runPlanBench(asJSON bool, shards int) *PlanBenchReport {
 // checkBaseline compares a fresh planbench report against a recorded one:
 // every (workload, strategy) pair present in both must not be slower than
 // threshold × its baseline ns/op. Output sizes must match exactly — a
-// changed result is a correctness regression, not a perf one.
+// changed result is a correctness regression, not a perf one. On the
+// plannerGated workloads the planned run must also stay within
+// maxPlannedOverBest of the fastest forced strategy of the same report.
 func checkBaseline(cur *PlanBenchReport, path string, threshold float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -277,6 +307,13 @@ func checkBaseline(cur *PlanBenchReport, path string, threshold float64) error {
 					w.Name, r.Strategy, r.NsPerOp, b.NsPerOp,
 					float64(r.NsPerOp)/float64(b.NsPerOp), threshold))
 			}
+		}
+	}
+	for _, w := range cur.Workloads {
+		if plannerGated[w.Name] && w.PlannedOverBest > maxPlannedOverBest {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: planned %s runs %.2fx the best forced strategy (> %.2fx)",
+				w.Name, w.Planned, w.PlannedOverBest, maxPlannedOverBest))
 		}
 	}
 	if len(regressions) > 0 {

@@ -220,7 +220,10 @@ func EvaluateGenericJoin(q *Query, db *Database) (*Relation, EvalStats, error) {
 func IsAcyclic(q *Query) bool { return eval.IsAcyclic(q) }
 
 // EvaluateYannakakis computes Q(D) for α-acyclic queries with Yannakakis'
-// algorithm: semijoin reduction keeps intermediates at O(input + output).
+// algorithm: semijoin reduction plus projecting each subtree onto head ∪
+// parent variables keeps intermediates at O(input + output) for free-connex
+// queries (still acyclic with the head as one more hyperedge) and at
+// O(input × output) otherwise.
 func EvaluateYannakakis(q *Query, db *Database) (*Relation, EvalStats, error) {
 	return eval.Yannakakis(q, db)
 }

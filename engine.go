@@ -31,7 +31,8 @@ type (
 // Re-exported strategies.
 const (
 	// StrategyYannakakis evaluates α-acyclic queries by semijoin reduction
-	// in O(input + output).
+	// in O(input + output) when they are free-connex, O(input × output)
+	// otherwise.
 	StrategyYannakakis = plan.StrategyYannakakis
 	// StrategyProjectEarly is the Corollary 4.8 join-project plan along a
 	// planner-chosen atom order.

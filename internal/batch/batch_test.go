@@ -207,6 +207,9 @@ func TestExchangeRepartitions(t *testing.T) {
 			ex := batch.NewExchange(srcs, r.Attrs, 0, p, size, 0,
 				func(*relation.Relation) { governed.Add(1) },
 				func(n int) { routedRows.Add(int64(n)) }, nil)
+			// Drain the parts one after another: while part 0 drains, every
+			// row routed to the others must buffer, so the governor
+			// assertion below does not depend on how fast consumers run.
 			outs := make([]*relation.Relation, p)
 			var wg sync.WaitGroup
 			for k := 0; k < p; k++ {
@@ -221,8 +224,8 @@ func TestExchangeRepartitions(t *testing.T) {
 					}
 					outs[k] = out
 				}()
+				wg.Wait()
 			}
-			wg.Wait()
 			union := relation.New("U", "a", "b")
 			total := 0
 			for k, out := range outs {
@@ -240,8 +243,8 @@ func TestExchangeRepartitions(t *testing.T) {
 			if routedRows.Load() != int64(r.Size()) {
 				t.Fatalf("p=%d size=%d: onRows saw %d rows, want %d", p, size, routedRows.Load(), r.Size())
 			}
-			// 4000 rows over p parts with 1024-row chunks: at least one part
-			// sealed a chunk into the governor before its consumer finished.
+			// 4000 rows over p parts with 1024-row chunks: the undrained
+			// part sealed a chunk into the governor while part 0 drained.
 			if p == 2 && governed.Load() == 0 {
 				t.Fatalf("p=%d size=%d: no chunk ever registered with the governor", p, size)
 			}

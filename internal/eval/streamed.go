@@ -12,6 +12,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -199,10 +200,11 @@ func headProjectionPiped(ctx context.Context, opts *shard.Options, q *cq.Query, 
 // as a pipeline (scan → semijoin stages → sink), and every materialized
 // reduction is a subset of a base binding. The join pass builds one
 // pipeline per node (scan of the reduced binding → probes of the forced
-// child subtree results → projection); only the projected subtree results
-// — bounded by input + output after full reduction, the Yannakakis
-// guarantee — are forced, and the root's join, the plan's largest
-// intermediate, streams straight into the head projection.
+// child subtree results); each child's pipeline ends in its projection onto
+// head ∪ the parent atom's variables, so only those projected subtree
+// results are forced, and the root's join, the plan's largest
+// intermediate, streams unprojected straight into the head projection. A
+// Boolean subtree is forced only to test it for emptiness.
 func yannakakisStreamed(ctx context.Context, q *cq.Query, db *database.Database, opts *shard.Options) (*relation.Relation, Stats, error) {
 	var st Stats
 	if err := validateAtoms(q, db); err != nil {
@@ -322,36 +324,55 @@ func yannakakisStreamed(ctx context.Context, q *cq.Query, db *database.Database,
 	mkDown.annotate(sd)
 	sd.End()
 	// Bottom-up join: each node's pipeline probes its children's forced
-	// subtree results; only the root's pipeline escapes unforced, into the
-	// head projection.
+	// subtree results, each projected onto head ∪ this node's variables
+	// (subtreeKeep) inside the child's pipeline, before its sink; only the
+	// root's pipeline escapes unforced and unprojected, into the head
+	// projection.
 	head := q.HeadVarSet()
 	var join func(n *JoinTreeNode) (*shard.Piped, error)
 	join = func(n *JoinTreeNode) (*shard.Piped, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// subs[i] stays nil for a Boolean subtree that passed its filter.
 		subs := make([]*relation.Relation, len(n.Children))
 		if err := pool.Run(ctx, 0, len(n.Children), func(i int) error {
 			pd, err := join(n.Children[i])
 			if err != nil {
 				return err
 			}
+			keep := subtreeKeep(pd.Attrs(), head, q.Body[n.AtomIndex])
+			if len(keep) > 0 && len(keep) < len(pd.Attrs()) {
+				if pd, err = projectPipedNames(ctx, opts, pd, keep); err != nil {
+					return err
+				}
+			}
 			sunk, err := shard.MaterializePiped(ctx, opts, pd, "sub", true)
 			if err != nil {
 				return err
 			}
-			subs[i] = sunk.Rel()
+			sub := sunk.Rel()
 			stMu.Lock()
-			if subs[i].Size() > st.MaxIntermediate {
-				st.MaxIntermediate = subs[i].Size()
+			if sub.Size() > st.MaxIntermediate {
+				st.MaxIntermediate = sub.Size()
 			}
 			stMu.Unlock()
+			if len(keep) == 0 {
+				if sub.Size() == 0 {
+					return errEmptySubtree
+				}
+				return nil
+			}
+			subs[i] = sub
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 		cur := shard.PipedOf(reduced[n.AtomIndex], opts)
 		for _, sub := range subs {
+			if sub == nil {
+				continue
+			}
 			var jsp *trace.Span
 			if tr != nil {
 				jsp = tr.Op(trace.KindJoin, "⋈ under "+q.Body[n.AtomIndex].Relation)
@@ -365,23 +386,15 @@ func yannakakisStreamed(ctx context.Context, q *cq.Query, db *database.Database,
 			shard.TracePiped(cur, jsp)
 			countJoin(0)
 		}
-		ownAttrs := reduced[n.AtomIndex].Attrs()
-		var keep []string
-		for _, attr := range cur.Attrs() {
-			if head[cq.Variable(attr)] || slices.Contains(ownAttrs, attr) {
-				keep = append(keep, attr)
-			}
-		}
-		if len(keep) == 0 {
-			return nil, fmt.Errorf("eval: internal: empty projection in Yannakakis")
-		}
-		if len(keep) == len(cur.Attrs()) {
-			return cur, nil
-		}
-		return projectPipedNames(ctx, opts, cur, keep)
+		return cur, nil
 	}
 	sj := stageSpan(opts, trace.KindStage, "join pass")
 	full, err := join(tree)
+	if errors.Is(err, errEmptySubtree) {
+		sj.End()
+		st.EarlyExit = true
+		return emptyOutput(q), st, nil
+	}
 	if err != nil {
 		sj.End()
 		return nil, st, err

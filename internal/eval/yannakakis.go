@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -17,7 +18,8 @@ import (
 // This file adds the classical complement to the paper's worst-case bounds:
 // α-acyclicity detection via the GYO reduction and Yannakakis' algorithm,
 // which evaluates acyclic conjunctive queries with intermediate results
-// bounded by input + output. (Acyclic queries are exactly those of
+// bounded by input + output for free-connex queries and by input × output
+// otherwise. (Acyclic queries are exactly those of
 // hypertree-width 1; the treewidth material of Section 5 concerns the same
 // structural-sparsity theme on the data side.)
 
@@ -115,10 +117,24 @@ func IsAcyclic(q *cq.Query) bool {
 	return ok
 }
 
+// IsFreeConnex reports whether q is free-connex acyclic: α-acyclic, and
+// still α-acyclic once its head variables are added as one more hyperedge.
+// Full acyclic queries are free-connex; the path Q(A,D) <- E(A,B), F(B,C),
+// G(C,D) is not. The split decides what Yannakakis with projected subtrees
+// costs: O(|D| + |Q(D)|) for free-connex queries, O(|D|·|Q(D)|) otherwise.
+func IsFreeConnex(q *cq.Query) bool {
+	if !IsAcyclic(q) {
+		return false
+	}
+	_, ok := JoinTree(&cq.Query{Head: q.Head, Body: append(slices.Clip(q.Body), q.Head)})
+	return ok
+}
+
 // Yannakakis evaluates an α-acyclic query with Yannakakis' algorithm:
 // a bottom-up semijoin pass removes dangling tuples, then a top-down pass
-// filters against parents, and a final bottom-up join (projecting to head
-// plus ancestors' needs) produces the output. Returns an error for cyclic
+// filters against parents, and a final bottom-up join produces the output,
+// projecting each subtree result onto the head variables plus its parent
+// atom's variables before the parent joins it. Returns an error for cyclic
 // queries.
 func Yannakakis(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
 	return YannakakisCtx(context.Background(), q, db)
@@ -127,6 +143,8 @@ func Yannakakis(q *cq.Query, db *database.Database) (*relation.Relation, Stats, 
 // YannakakisCtx is Yannakakis with cancellation (checked between semijoin
 // and join steps) and an early exit as soon as any binding relation is
 // empty: every atom participates in the final join, so the output is empty.
+// A Boolean subtree (see subtreeKeep) that comes out empty exits the same
+// way.
 //
 // Sibling subtrees of the join tree are independent in every pass, so the
 // bottom-up and top-down semijoin sweeps and the final join recurse over a
@@ -259,7 +277,9 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 	}
 	mk.annotate(sd)
 	sd.End()
-	// Bottom-up join, keeping head variables plus connecting variables.
+	// Bottom-up join. Each child's subtree result is projected onto head ∪
+	// this node's variables before it is joined in (subtreeKeep), so the
+	// root's result needs no projection beyond the head projection.
 	// Sibling subtrees join in parallel; the fold into the parent is
 	// sequential in child order, keeping results deterministic.
 	head := q.HeadVarSet()
@@ -268,26 +288,43 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		if err := ctx.Err(); err != nil {
 			return shard.Stream{}, err
 		}
-		subs := make([]shard.Stream, len(n.Children))
+		// subs[i] stays nil for a Boolean subtree that passed its filter.
+		subs := make([]*shard.Stream, len(n.Children))
 		if err := pool.Run(ctx, 0, len(n.Children), func(i int) error {
 			sub, err := join(n.Children[i])
-			if err == nil {
-				subs[i] = sub
+			if err != nil {
+				return err
 			}
-			return err
+			keep := subtreeKeep(sub.Attrs(), head, q.Body[n.AtomIndex])
+			switch {
+			case len(keep) == 0:
+				if sub.Size() == 0 {
+					return errEmptySubtree
+				}
+				return nil
+			case len(keep) < len(sub.Attrs()):
+				if sub, err = projectNames(ctx, opts, sub, keep); err != nil {
+					return err
+				}
+			}
+			subs[i] = &sub
+			return nil
 		}); err != nil {
 			return shard.Stream{}, err
 		}
 		cur := bindings[n.AtomIndex]
 		for _, sub := range subs {
+			if sub == nil {
+				continue
+			}
 			var jsp *trace.Span
 			if tr != nil {
 				jsp = tr.Op(trace.KindJoin, "⋈ under "+q.Body[n.AtomIndex].Relation)
 				jsp.AddIn(cur.Size() + sub.Size())
-				jsp.SetEst(estimateJoin(cur, sub))
+				jsp.SetEst(estimateJoin(cur, *sub))
 			}
 			var err error
-			cur, err = shard.NaturalJoinStream(ctx, opts, cur, sub)
+			cur, err = shard.NaturalJoinStream(ctx, opts, cur, *sub)
 			if err != nil {
 				jsp.End()
 				return shard.Stream{}, err
@@ -296,36 +333,16 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 			jsp.End()
 			countJoin(cur.Size())
 		}
-		// Project to head variables plus this subtree's connection to its
-		// parent (handled by the caller keeping the parent's attributes):
-		// keep head vars and any attribute also present in the parent atom.
-		attrs := cur.Attrs()
-		ownAttrs := bindings[n.AtomIndex].Attrs()
-		var keep []string
-		for _, attr := range attrs {
-			if head[cq.Variable(attr)] {
-				keep = append(keep, attr)
-				continue
-			}
-			// Needed by an ancestor? Conservatively keep attributes of this
-			// node's own atom (the parent joins only on those).
-			if slices.Contains(ownAttrs, attr) {
-				keep = append(keep, attr)
-			}
-		}
-		if len(keep) == 0 {
-			// Unreachable: cur always retains this node's own atom
-			// attributes, and atoms have at least one variable.
-			return shard.Stream{}, fmt.Errorf("eval: internal: empty projection in Yannakakis")
-		}
-		if len(keep) == len(attrs) {
-			return cur, nil
-		}
-		return projectNames(ctx, opts, cur, keep)
+		return cur, nil
 	}
 	sj := stageSpan(opts, trace.KindStage, "join pass")
 	mk = markSpill(opts, tr != nil)
 	full, err := join(tree)
+	if errors.Is(err, errEmptySubtree) {
+		sj.End()
+		st.EarlyExit = true
+		return emptyOutput(q), st, nil
+	}
 	if err != nil {
 		sj.End()
 		return nil, st, err
@@ -341,4 +358,28 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		st.MaxIntermediate = out.Size()
 	}
 	return out, st, nil
+}
+
+// errEmptySubtree stops a join pass whose Boolean subtree (see subtreeKeep)
+// came out empty: the whole answer is then empty.
+var errEmptySubtree = errors.New("eval: empty Boolean subtree")
+
+// subtreeKeep lists the attributes of a subtree result that the rest of
+// the query can still see: head variables and the variables of the
+// parent's atom. By the join tree's running-intersection property the
+// parent atom is the only place a subtree meets the rest of the query, so
+// every other attribute is projected away (deduplicating) before the
+// parent joins the subtree. An empty list marks a Boolean subtree — no
+// head variable, nothing shared with its parent — which acts only as a
+// filter: an empty one empties the answer, a nonempty one is dropped from
+// the parent's join.
+func subtreeKeep(attrs []string, head map[cq.Variable]bool, parent cq.Atom) []string {
+	pv := parent.VarSet()
+	var keep []string
+	for _, attr := range attrs {
+		if v := cq.Variable(attr); head[v] || pv[v] {
+			keep = append(keep, attr)
+		}
+	}
+	return keep
 }

@@ -101,8 +101,13 @@ func Choose(q *cq.Query) (*Plan, error) {
 	}
 	if p.Acyclic {
 		p.Strategy = StrategyYannakakis
-		p.Rationale = "α-acyclic (GYO reduction succeeds): Yannakakis' semijoin " +
-			"algorithm runs in O(|D| + |Q(D)|) with intermediates bounded by input + output"
+		if eval.IsFreeConnex(q) {
+			p.Rationale = "α-acyclic and free-connex (still acyclic with the head as one more " +
+				"hyperedge): Yannakakis' semijoin algorithm runs in O(|D| + |Q(D)|)"
+		} else {
+			p.Rationale = "α-acyclic but not free-connex: Yannakakis' semijoin algorithm, projecting " +
+				"each subtree onto head ∪ parent variables, runs in O(|D|·|Q(D)|)"
+		}
 		return p, nil
 	}
 	ci, err := core.ColorNumberStage(st, false)

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cqbound/internal/core"
@@ -67,6 +68,45 @@ func TestChoosePlanFacts(t *testing.T) {
 	}
 	if p.Class != core.CompoundFDs {
 		t.Errorf("class = %v, want compound", p.Class)
+	}
+}
+
+// TestYannakakisRationaleByFreeConnex pins the complexity the Yannakakis
+// rationale claims: O(|D| + |Q(D)|) only for free-connex queries, and
+// O(|D|·|Q(D)|) for the acyclic rest. The queries are cqload's and
+// planbench's acyclic kinds.
+func TestYannakakisRationaleByFreeConnex(t *testing.T) {
+	cases := []struct {
+		name       string
+		text       string
+		freeConnex bool
+	}{
+		{"point", "Q(X,Y) <- K(X), E(X,Y).", true},
+		{"star3", "Q(X,A,B,C) <- E(X,A), F(X,B), G(X,C).", true},
+		{"path3", "Q(A,D) <- E(A,B), F(B,C), G(C,D).", false},
+		{"zipf", "Q(X,Z) <- Z1(X,Y), Z2(Y,Z).", false},
+		{"path-4", "Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).", false},
+	}
+	for _, c := range cases {
+		q := cq.MustParse(c.text)
+		if got := eval.IsFreeConnex(q); got != c.freeConnex {
+			t.Errorf("%s: IsFreeConnex = %v, want %v", c.name, got, c.freeConnex)
+		}
+		p, err := Choose(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Strategy != StrategyYannakakis {
+			t.Fatalf("%s: strategy = %v, want Yannakakis", c.name, p.Strategy)
+		}
+		linear := strings.Contains(p.Rationale, "O(|D| + |Q(D)|)")
+		product := strings.Contains(p.Rationale, "O(|D|·|Q(D)|)")
+		if linear != c.freeConnex || product == c.freeConnex {
+			t.Errorf("%s: rationale %q claims the wrong complexity", c.name, p.Rationale)
+		}
+	}
+	if eval.IsFreeConnex(cq.MustParse("Q(X,Y,Z) <- E(X,Y), E(Y,Z), E(X,Z).")) {
+		t.Error("the cyclic triangle reported free-connex")
 	}
 }
 
